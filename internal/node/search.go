@@ -337,7 +337,7 @@ func (n *Network) fail(req *pendingReq) {
 // finish closes a request successfully. The box is dead afterwards (it
 // returns to the freelist); callers must not touch req again.
 func (n *Network) finish(req *pendingReq, class metrics.HitClass, latency float64, stale bool) {
-	if req.timeout != 0 {
+	if req.timeout != (sim.Handle{}) {
 		n.sched.Cancel(req.timeout)
 	}
 	n.peers[req.origin].pendingDelete(req.id)
@@ -532,7 +532,7 @@ func (p *Peer) onReply(m *message) {
 			n.releaseMsg(m)
 			return
 		}
-		if req.timeout != 0 {
+		if req.timeout != (sim.Handle{}) {
 			n.sched.Cancel(req.timeout)
 		}
 		req.pendingReply = m // ownership moves to the stash

@@ -19,15 +19,22 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
 )
 
 // Handle identifies a scheduled event so it can be cancelled before it
-// fires. The zero Handle is invalid.
-type Handle uint64
+// fires: the event's box plus the generation the box had when the event
+// was scheduled. A box's generation is bumped every time it is popped or
+// cancelled, so a handle outlives its event harmlessly — once the event
+// has fired or been cancelled, and even after the box is re-tenanted by
+// a later event, the generations differ and Cancel returns false. The
+// zero Handle is invalid.
+type Handle struct {
+	box *event
+	gen uint64
+}
 
 // Proc names a re-armable recurring process. Events carry closures,
 // which cannot be serialized — so checkpointing is only possible at a
@@ -60,7 +67,7 @@ type ProcEvent struct {
 type SchedulerState struct {
 	Now       float64
 	Seq       uint64
-	NextID    uint64
+	NextID    uint64 // always Seq+1; kept so the checkpoint format is unchanged
 	Executed  uint64
 	Cancelled uint64
 	Procs     []ProcEvent
@@ -69,23 +76,22 @@ type SchedulerState struct {
 // event is a pending callback on the event queue. Exactly one of fn and
 // fnCtx is set: fn is the closure form, fnCtx+ctx the allocation-free
 // form used by hot paths (see AtCtx). Popped and cancelled events are
-// recycled through the scheduler's freelist; gen counts reuses so a
-// stale *event pointer from a previous incarnation is detectable — the
-// pending map (keyed by the never-reused Handle) stays the authoritative
-// cancellation guard, and gen is the belt-and-suspenders check that a
-// recycled box can never masquerade as a live one.
+// recycled through the scheduler's freelist. index is the box's heap
+// position while queued and -1 otherwise; gen counts the box's
+// incarnations. Together they are the whole cancellation guard: a Handle
+// is live exactly when its gen matches and the box is queued.
 type event struct {
 	time    float64
-	seq     uint64 // insertion order (for snapshots; not an ordering key)
 	creator int32  // execution context that scheduled this event
-	cseq    uint64 // per-creator sequence; (time, creator, cseq) is total
 	execAs  int32  // execution context the callback runs under
-	handle  Handle
+	cseq    uint64 // per-creator sequence; (time, creator, cseq) is total
+	seq     uint64 // insertion order (for snapshots; not an ordering key)
+	gen     uint64 // incremented every time the box is recycled
+	index   int    // heap index; -1 once popped or cancelled
+	proc    Proc   // re-arm tag (AtProc); Kind "" means untagged
 	fn      func()
 	fnCtx   func(any)
 	ctx     any
-	gen     uint64 // incremented every time the box is recycled
-	index   int    // heap index; -1 once popped or cancelled
 }
 
 // EventKey is the canonical total order over events: (Time, Creator,
@@ -112,41 +118,92 @@ func (ev *event) key() EventKey {
 	return EventKey{Time: ev.time, Creator: ev.creator, Cseq: ev.cseq}
 }
 
-// eventQueue implements heap.Interface ordered by the canonical key.
+// less orders events by the canonical key. Keys are unique, so the
+// order is total and the pop sequence does not depend on heap shape.
+func (ev *event) less(o *event) bool { return ev.key().Less(o.key()) }
+
+func (ev *event) tagged() bool { return ev.proc.Kind != "" }
+
+// eventQueue is a 4-ary min-heap ordered by the canonical key. Every
+// box records its own position in index so Cancel can remove it in
+// O(log n). A 4-ary heap is half as deep as a binary one, and the four
+// children it compares per level sit next to each other in the slice.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
+// heapArity is the fan-out: the children of i are arity*i+1 ..
+// arity*i+arity, and the parent of i is (i-1)/arity.
+const heapArity = 4
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	if q[i].creator != q[j].creator {
-		return q[i].creator < q[j].creator
-	}
-	return q[i].cseq < q[j].cseq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
+// push inserts ev.
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
+	q.up(ev, len(*q)-1)
 }
 
-func (q *eventQueue) Pop() any {
+// up places ev, starting at the vacant slot i, moving it towards the
+// root past every parent it sorts before.
+func (q eventQueue) up(ev *event, i int) {
+	for i > 0 {
+		p := (i - 1) / heapArity
+		pe := q[p]
+		if !ev.less(pe) {
+			break
+		}
+		q[i] = pe
+		pe.index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down places ev, starting at the vacant slot i, moving it towards the
+// leaves past every least child that sorts before it.
+func (q eventQueue) down(ev *event, i int) {
+	n := len(q)
+	for {
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		best, be := c, q[c]
+		end := c + heapArity
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if q[j].less(be) {
+				best, be = j, q[j]
+			}
+		}
+		if !be.less(ev) {
+			break
+		}
+		q[i] = be
+		be.index = i
+		i = best
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// removeAt takes the event at slot i out of the heap and marks it
+// unqueued.
+func (q *eventQueue) removeAt(i int) {
 	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev, last := old[i], old[n]
+	old[n] = nil
+	*q = old[:n]
 	ev.index = -1
-	*q = old[:n-1]
-	return ev
+	if i == n {
+		return
+	}
+	if i > 0 && last.less(old[(i-1)/heapArity]) {
+		old[:n].up(last, i)
+	} else {
+		old[:n].down(last, i)
+	}
 }
 
 // Counters hands out per-creator sequence numbers. Index creator+1
@@ -183,11 +240,9 @@ func (k *Counters) next(creator int32) uint64 {
 type Scheduler struct {
 	queue     eventQueue
 	gqueue    eventQueue // global (execAs -1) events, when splitGlobal
-	pending   map[Handle]*event
-	procs     map[Handle]Proc // tags on pending re-armable events
+	tagged    int        // queued events carrying a Proc tag
 	now       float64
 	seq       uint64
-	nextID    Handle
 	executed  uint64
 	cancelled uint64
 	stopped   bool
@@ -239,9 +294,6 @@ func NewScheduler() *Scheduler {
 // numbers from the given (possibly shared) counter set.
 func NewSchedulerWithCounters(k *Counters) *Scheduler {
 	return &Scheduler{
-		pending:  make(map[Handle]*event),
-		procs:    make(map[Handle]Proc),
-		nextID:   1,
 		cur:      -1,
 		counters: k,
 	}
@@ -312,41 +364,46 @@ func (s *Scheduler) notifyAfterEvent() {
 	}
 }
 
-// CheckConsistency verifies the scheduler's internal bookkeeping: the
-// pending map and the heaps must describe the same event set, heap
-// indices must be self-consistent, the heap property must hold, and no
-// pending event may be scheduled before the current clock. It is O(n)
-// over the queue and intended for invariant sweeps, not hot paths.
+// CheckConsistency verifies the scheduler's internal bookkeeping: every
+// queued box must carry its own heap index and sit in the queue its
+// execAs selects, the 4-ary heap property must hold against each
+// parent (i-1)/4, no queued event may be due before the current clock,
+// the tagged count must equal the number of tagged queued boxes, and no
+// freelist box may be queued or keep a callback or tag. It is O(n) over
+// the queue and intended for invariant sweeps, not hot paths.
 func (s *Scheduler) CheckConsistency() error {
-	if len(s.pending) != len(s.queue)+len(s.gqueue) {
-		return fmt.Errorf("sim: pending map has %d events but queues have %d",
-			len(s.pending), len(s.queue)+len(s.gqueue))
-	}
-	for _, q := range []eventQueue{s.queue, s.gqueue} {
+	tagged := 0
+	for _, home := range []*eventQueue{&s.queue, &s.gqueue} {
+		q := *home
 		for i, ev := range q {
 			if ev.index != i {
-				return fmt.Errorf("sim: event %d carries heap index %d at position %d", ev.handle, ev.index, i)
+				return fmt.Errorf("sim: event (seq %d) carries heap index %d at position %d", ev.seq, ev.index, i)
 			}
-			if s.pending[ev.handle] != ev {
-				return fmt.Errorf("sim: queued event %d missing from pending map", ev.handle)
+			if s.queueOf(ev.execAs) != home {
+				return fmt.Errorf("sim: event (seq %d, execAs %d) is in the wrong queue", ev.seq, ev.execAs)
 			}
 			if ev.time < s.now {
-				return fmt.Errorf("sim: pending event %d at t=%v is before now=%v", ev.handle, ev.time, s.now)
+				return fmt.Errorf("sim: pending event (seq %d) at t=%v is before now=%v", ev.seq, ev.time, s.now)
 			}
 			if i > 0 {
-				parent := (i - 1) / 2
-				if q.Less(i, parent) {
+				if parent := (i - 1) / heapArity; ev.less(q[parent]) {
 					return fmt.Errorf("sim: heap property violated at index %d (parent %d)", i, parent)
 				}
 			}
+			if ev.tagged() {
+				tagged++
+			}
 		}
 	}
+	if tagged != s.tagged {
+		return fmt.Errorf("sim: tagged count is %d but %d queued events are tagged", s.tagged, tagged)
+	}
 	for i, ev := range s.free {
-		if ev.fn != nil || ev.fnCtx != nil || ev.ctx != nil {
-			return fmt.Errorf("sim: freelist slot %d retains a callback reference", i)
+		if ev.index >= 0 {
+			return fmt.Errorf("sim: freelist slot %d is still queued at heap index %d", i, ev.index)
 		}
-		if live, ok := s.pending[ev.handle]; ok && live == ev {
-			return fmt.Errorf("sim: freelist slot %d (handle %d) is still pending", i, ev.handle)
+		if ev.fn != nil || ev.fnCtx != nil || ev.ctx != nil || ev.tagged() {
+			return fmt.Errorf("sim: freelist slot %d retains a callback reference or tag", i)
 		}
 	}
 	return nil
@@ -372,12 +429,14 @@ func (s *Scheduler) takeEvent() *event {
 }
 
 // recycleEvent returns a popped or cancelled event box to the freelist.
-// Callback references are cleared so the freelist never pins payloads,
-// and gen is bumped so the box's previous incarnation is dead for good.
+// Callback references and the tag are cleared so the freelist never
+// pins payloads, and gen is bumped so every Handle to the box's previous
+// incarnation is dead for good.
 func (s *Scheduler) recycleEvent(ev *event) {
 	ev.fn = nil
 	ev.fnCtx = nil
 	ev.ctx = nil
+	ev.proc = Proc{}
 	ev.gen++
 	if !s.noRecycle {
 		s.free = append(s.free, ev)
@@ -409,12 +468,9 @@ func (s *Scheduler) scheduleKeyed(t float64, ev *event, execAs int32) Handle {
 	ev.time = t
 	ev.execAs = execAs
 	ev.seq = s.seq
-	ev.handle = s.nextID
 	s.seq++
-	s.nextID++
-	heap.Push(s.queueOf(execAs), ev)
-	s.pending[ev.handle] = ev
-	return ev.handle
+	s.queueOf(execAs).push(ev)
+	return Handle{box: ev, gen: ev.gen}
 }
 
 // At schedules fn to run at absolute simulation time t, executing under
@@ -500,8 +556,9 @@ func (s *Scheduler) AtProcAs(p Proc, t float64, fn func(), execAs int) Handle {
 	}
 	ev := s.takeEvent()
 	ev.fn = fn
+	ev.proc = p
 	h := s.schedule(t, ev, int32(execAs))
-	s.procs[h] = p
+	s.tagged++
 	return h
 }
 
@@ -533,15 +590,15 @@ func (s *Scheduler) InjectAtCtx(t float64, fn func(any), ctx any, execAs int, cr
 // Quiescent reports whether every pending event is a tagged re-armable
 // process — i.e. no transient work (frame deliveries, request timeouts,
 // retries) is in flight and the run can be checkpointed.
-func (s *Scheduler) Quiescent() bool { return s.Len() == len(s.procs) }
+func (s *Scheduler) Quiescent() bool { return s.Len() == s.tagged }
 
 // PendingProcs returns the pending tagged events in ascending Seq order.
 func (s *Scheduler) PendingProcs() []ProcEvent {
-	out := make([]ProcEvent, 0, len(s.procs))
+	out := make([]ProcEvent, 0, s.tagged)
 	for _, q := range []eventQueue{s.queue, s.gqueue} {
 		for _, ev := range q {
-			if p, ok := s.procs[ev.handle]; ok {
-				out = append(out, ProcEvent{Proc: p, Time: ev.time, Seq: ev.seq, Creator: int(ev.creator)})
+			if ev.tagged() {
+				out = append(out, ProcEvent{Proc: ev.proc, Time: ev.time, Seq: ev.seq, Creator: int(ev.creator)})
 			}
 		}
 	}
@@ -556,12 +613,12 @@ func (s *Scheduler) StateSnapshot() (SchedulerState, error) {
 	if !s.Quiescent() {
 		return SchedulerState{}, fmt.Errorf(
 			"sim: not quiescent: %d pending events, only %d re-armable",
-			s.Len(), len(s.procs))
+			s.Len(), s.tagged)
 	}
 	return SchedulerState{
 		Now:       s.now,
 		Seq:       s.seq,
-		NextID:    uint64(s.nextID),
+		NextID:    s.seq + 1,
 		Executed:  s.executed,
 		Cancelled: s.cancelled,
 		Procs:     s.PendingProcs(),
@@ -585,22 +642,19 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 	}
 	s.now = st.Now
 	s.seq = st.Seq
-	s.nextID = Handle(st.NextID)
 	s.executed = st.Executed
 	s.cancelled = st.Cancelled
 	return nil
 }
 
-// Cancel removes a pending event. It returns false when the event already
-// fired or was cancelled.
+// Cancel removes a pending event. It returns false for the zero Handle
+// and when the event already fired or was cancelled.
 func (s *Scheduler) Cancel(h Handle) bool {
-	ev, ok := s.pending[h]
-	if !ok {
+	ev := h.box
+	if ev == nil || ev.gen != h.gen || ev.index < 0 {
 		return false
 	}
-	delete(s.pending, h)
-	delete(s.procs, h)
-	heap.Remove(s.queueOf(ev.execAs), ev.index)
+	s.pop(ev)
 	s.cancelled++
 	s.recycleEvent(ev)
 	return true
@@ -635,19 +689,19 @@ func (s *Scheduler) peekMin() *event {
 		best = s.queue[0]
 	}
 	if len(s.gqueue) > 0 {
-		if g := s.gqueue[0]; best == nil || g.key().Less(best.key()) {
+		if g := s.gqueue[0]; best == nil || g.less(best) {
 			best = g
 		}
 	}
 	return best
 }
 
-// pop removes an event (known to be a queue head) from its queue and
-// the bookkeeping maps.
+// pop removes a queued event from its queue and the tagged count.
 func (s *Scheduler) pop(ev *event) {
-	heap.Remove(s.queueOf(ev.execAs), ev.index)
-	delete(s.pending, ev.handle)
-	delete(s.procs, ev.handle)
+	if ev.tagged() {
+		s.tagged--
+	}
+	s.queueOf(ev.execAs).removeAt(ev.index)
 }
 
 // Stop makes the current Run call return after the in-flight event

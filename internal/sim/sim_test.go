@@ -289,3 +289,104 @@ func TestExecutedCounter(t *testing.T) {
 		t.Fatalf("Executed = %d, want 5", s.Executed())
 	}
 }
+
+// forBothRecyclingModes runs fn on a scheduler with the event freelist
+// on, and again after DisableRecycling.
+func forBothRecyclingModes(t *testing.T, fn func(t *testing.T, s *Scheduler, recycling bool)) {
+	for _, recycling := range []bool{true, false} {
+		name := "recycling"
+		if !recycling {
+			name = "no-recycling"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := NewScheduler()
+			if !recycling {
+				s.DisableRecycling()
+			}
+			fn(t, s, recycling)
+		})
+	}
+}
+
+// A handle to a fired event whose box has been recycled and handed to a
+// new event must not cancel the new tenant.
+func TestStaleHandleAfterFireAndRetenant(t *testing.T) {
+	forBothRecyclingModes(t, func(t *testing.T, s *Scheduler, recycling bool) {
+		stale := s.At(1, func() {})
+		s.RunAll()
+		ran := false
+		live := s.At(2, func() { ran = true })
+		if recycling && live.box != stale.box {
+			t.Fatal("the fired box was not re-tenanted; the test is vacuous")
+		}
+		if !recycling && live.box == stale.box {
+			t.Fatal("a box was reused with recycling disabled")
+		}
+		if s.Cancel(stale) {
+			t.Fatal("Cancel of a fired event's handle returned true")
+		}
+		if s.Len() != 1 {
+			t.Fatalf("pending = %d after stale Cancel, want the new tenant still queued", s.Len())
+		}
+		s.RunAll()
+		if !ran {
+			t.Fatal("the new tenant did not fire after a stale Cancel")
+		}
+		if s.cancelled != 0 {
+			t.Fatalf("cancelled = %d, want 0", s.cancelled)
+		}
+	})
+}
+
+// The same holds for a box freed by Cancel rather than by firing.
+func TestStaleHandleAfterCancelAndRetenant(t *testing.T) {
+	forBothRecyclingModes(t, func(t *testing.T, s *Scheduler, recycling bool) {
+		stale := s.At(1, func() {})
+		if !s.Cancel(stale) {
+			t.Fatal("Cancel of a pending event returned false")
+		}
+		ran := false
+		live := s.At(1, func() { ran = true })
+		if recycling && live.box != stale.box {
+			t.Fatal("the cancelled box was not re-tenanted; the test is vacuous")
+		}
+		if s.Cancel(stale) {
+			t.Fatal("second Cancel of the same handle returned true")
+		}
+		if s.Len() != 1 {
+			t.Fatalf("pending = %d, want the new tenant still queued", s.Len())
+		}
+		s.RunAll()
+		if !ran {
+			t.Fatal("the new tenant did not fire")
+		}
+		if s.cancelled != 1 {
+			t.Fatalf("cancelled = %d, want exactly 1", s.cancelled)
+		}
+	})
+}
+
+func TestZeroHandleAndDoubleCancel(t *testing.T) {
+	forBothRecyclingModes(t, func(t *testing.T, s *Scheduler, recycling bool) {
+		s.At(1, func() {})
+		if s.Cancel(Handle{}) {
+			t.Fatal("Cancel of the zero Handle returned true")
+		}
+		h := s.AtProc(Proc{Kind: "tick"}, 2, func() {})
+		if !s.Cancel(h) {
+			t.Fatal("Cancel of a pending event returned false")
+		}
+		if s.Cancel(h) {
+			t.Fatal("second Cancel returned true")
+		}
+		if s.cancelled != 1 {
+			t.Fatalf("cancelled = %d, want exactly 1", s.cancelled)
+		}
+		if s.Len() != 1 || s.tagged != 0 {
+			t.Fatalf("pending = %d, tagged = %d; want 1 untagged event left", s.Len(), s.tagged)
+		}
+		if err := s.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
